@@ -13,9 +13,9 @@
 //! original would have for the same future ticks.
 //!
 //! Checkpoints also anchor in-place recovery: the session keeps its
-//! latest checkpoint plus a bounded replay log of marginals appended
-//! since, and [`crate::RealTimeSession::recover`] rebuilds shards lost
-//! to a fault from those instead of from the full history.
+//! latest checkpoint, and [`crate::RealTimeSession::recover`] rebuilds
+//! shards lost to a fault from it, replaying only the ticks since from
+//! the database history instead of the full history.
 
 use crate::chain::ChainState;
 use crate::error::EngineError;

@@ -574,13 +574,14 @@ impl LaharServer {
 
         // One readiness-driven reactor owns the listener and every
         // client socket: thousands of idle connections cost file
-        // descriptors, not threads. The name keeps the `lahar-conn`
-        // prefix so request traces still attribute `serve_request`
-        // spans to the connection layer.
+        // descriptors, not threads. The name carries the bound port so
+        // each server's reactor is told apart, in traces and in
+        // `/proc/<pid>/task/*/comm`, within Linux's 15-byte thread-name
+        // limit (`lahar-rx-65535` is 14).
         let reactor = {
             let shared = shared.clone();
             std::thread::Builder::new()
-                .name("lahar-conn-reactor".to_owned())
+                .name(format!("lahar-rx-{}", addr.port()))
                 .spawn(move || crate::reactor::run(listener, wake_reader, &shared))
                 .map_err(|e| EngineError::ServerUnavailable(format!("spawn reactor: {e}")))?
         };

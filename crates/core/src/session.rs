@@ -7,21 +7,20 @@
 //! regular — the streaming classes of Theorems 3.3/3.7) query advances by
 //! exactly one step, emitting `μ(q@t)` as the tick closes.
 //!
-//! # Sharded, epoch-batched parallel ticks
+//! # Sharded, epoch-batched ticks
 //!
 //! Internally the session owns every registered query's per-key chains
-//! directly, partitioned into contiguous, balanced *shards*. A tick can
-//! advance the shards either in place (sequential) or on the
-//! process-shared worker pool ([`crate::pool`]): the tick's marginals
-//! are shared with the workers behind an `Arc`, each worker steps its
-//! shard through [`crate::ChainEvaluator`] and sends it back with the
-//! per-chain probabilities, and the session recombines per-query
-//! answers on the caller's thread in canonical binding order
-//! (`1 − Π(1 − pᵢ)` for extended regular queries — Theorem 3.7's
-//! combination, applied identically on both paths, so parallel ticks
-//! reproduce sequential answers). [`SessionConfig`] picks the path:
-//! [`TickMode::Auto`] engages the pool once the session tracks at least
-//! `parallel_threshold` chains and more than one worker is available.
+//! directly, partitioned into contiguous, balanced *shards*. An epoch of
+//! ticks advances the shards either in place on the caller's thread
+//! (sequential) or on the process-shared worker pool ([`crate::pool`]):
+//! the epoch's marginals are shared with the workers behind an `Arc`,
+//! each worker steps its shard through [`crate::ChainEvaluator`] and
+//! sends it back with the per-chain probabilities, and the session
+//! recombines per-query answers on the caller's thread in canonical
+//! binding order (`1 − Π(1 − pᵢ)` for extended regular queries —
+//! Theorem 3.7's combination, applied identically on both paths, so
+//! parallel ticks reproduce sequential answers). Either way the epoch's
+//! marginals are then moved into the database history.
 //!
 //! When the caller can stage several ticks at once
 //! ([`RealTimeSession::tick_epoch`] — the path `stage_batch` ingest,
@@ -32,6 +31,15 @@
 //! stats, auto-checkpoint cadence, and watchdog/poison/recover
 //! semantics stay tick-accurate. [`SessionConfig::max_epoch_ticks`]
 //! bounds how many ticks one join may cover.
+//!
+//! [`SessionConfig::tick_mode`] picks the path. [`TickMode::Auto`] steps
+//! a single tick ([`RealTimeSession::tick`]) in place, always: a tick's
+//! arithmetic is small next to a pool round trip. At 1,050 chains a
+//! tick is 25,200 SIMD lane mul-adds, and on a 2-vCPU host the pool
+//! path took 247 µs of wall time for the step against 105 µs in place.
+//! The pool is used for epochs of two or more ticks over at least
+//! [`SessionConfig::parallel_threshold`] chains, where one join covers
+//! several ticks.
 //!
 //! Sessions also keep [`EngineStats`]: per-tick latency histograms,
 //! chains-stepped/bindings-grounded counters, and alert counts, all
@@ -106,9 +114,11 @@ pub struct Alert {
 /// Which tick path a session uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TickMode {
-    /// Parallel once the session tracks at least
+    /// A single tick steps in place on the caller's thread. An epoch of
+    /// two or more ticks ([`RealTimeSession::tick_epoch`]) goes to the
+    /// worker pool when the session tracks at least
     /// [`SessionConfig::parallel_threshold`] chains and more than one
-    /// worker is available; sequential below that.
+    /// worker is available; it steps in place otherwise.
     #[default]
     Auto,
     /// Always step chains in place on the caller's thread.
@@ -131,9 +141,10 @@ pub struct SessionConfig {
     /// Worker threads for the parallel path; `0` means one per
     /// available core.
     pub n_workers: usize,
-    /// Minimum total chain count for [`TickMode::Auto`] to engage the
-    /// parallel path. Below it, per-tick work is too small to amortize
-    /// the cross-thread handoff.
+    /// Minimum total chain count for [`TickMode::Auto`] to send a
+    /// multi-tick epoch to the worker pool. Below it, even an epoch's
+    /// work is too small to amortize the cross-thread handoff. A single
+    /// tick never goes to the pool under `Auto`, whatever the count.
     pub parallel_threshold: usize,
     /// Upper bound on how many staged ticks one epoch join may cover
     /// (see [`RealTimeSession::tick_epoch`]). Larger epochs amortize
@@ -144,7 +155,8 @@ pub struct SessionConfig {
     pub max_epoch_ticks: usize,
     /// Take an automatic [`RealTimeSession::checkpoint`] every this many
     /// closed ticks (`0` disables auto-checkpointing). Auto-checkpoints
-    /// bound the recovery replay log to at most this many ticks.
+    /// bound how many ticks [`RealTimeSession::recover`] replays from
+    /// the database history to at most this many.
     pub checkpoint_interval: usize,
     /// Watchdog deadline for a parallel tick. When the worker pool takes
     /// longer than this to return every shard, the tick fails with
@@ -398,34 +410,26 @@ struct Shard {
 struct EpochJob {
     shard: Shard,
     ticks: Vec<Arc<Vec<Marginal>>>,
+    /// Registered query count, the length of the per-query time array.
+    n_queries: usize,
 }
 
-/// Per-chain probabilities (shard order) plus wall-clock nanoseconds
-/// attributed to each query index plus kernel-path telemetry, as
-/// produced by [`step_shard`].
-type SteppedShard = (Vec<f64>, Vec<(usize, u64)>, KernelTickStats);
-
-/// [`SteppedShard`] over a whole epoch: per-tick probability rows
-/// (epoch order, then shard order) with the nanoseconds and kernel
-/// telemetry summed across the epoch's ticks.
-type SteppedEpoch = (Vec<Vec<f64>>, Vec<(usize, u64)>, KernelTickStats);
+/// One stepped epoch: per-tick probability rows (epoch order, then
+/// chain order), wall-clock nanoseconds per query index (dense) summed
+/// across the epoch's ticks, and summed kernel telemetry. A shard's
+/// rows cover its own chains; a whole-session path's rows cover the
+/// global chain sequence.
+type SteppedEpoch = (Vec<Vec<f64>>, Vec<u64>, KernelTickStats);
 
 /// `(shard index, stepped shard + per-tick probabilities + per-query
 /// nanoseconds + kernel telemetry | fault)`.
 type Reply = (usize, Result<(Shard, SteppedEpoch), EngineError>);
 
-/// [`SteppedEpoch`] recombined across every shard: per-tick rows over
-/// the *global* chain sequence, per-query (dense, indexed) nanosecond
-/// totals, and summed kernel telemetry — what a whole-session stepping
-/// path returns.
-type SteppedSession = (Vec<Vec<f64>>, Vec<u64>, KernelTickStats);
-
-/// Steps every chain in `shard` against the tick's marginals, returning
-/// the per-chain probabilities (shard order), the wall-clock
-/// nanoseconds attributed to each query index (one entry per contiguous
-/// run of a query's chains — shards hold chains in global sequence
-/// order, so a query appears in at most one run per shard), and the
-/// kernel-path counters accumulated while stepping.
+/// Steps every chain in `shard` against the tick's marginals, writing
+/// the per-chain probabilities to `probs` (shard order) and adding the
+/// wall-clock nanoseconds spent on each query's chains to `query_ns`
+/// (indexed by query). Returns the kernel-path counters accumulated
+/// while stepping.
 ///
 /// `cache` is this tick's symbol-distribution cache: chains with equal
 /// `(streams, syms)` signatures share one union-convolution per tick.
@@ -440,7 +444,9 @@ fn step_shard(
     marginals: &[Marginal],
     cache: &mut SymCache,
     failpoint: &'static str,
-) -> Result<SteppedShard, EngineError> {
+    probs: &mut [f64],
+    query_ns: &mut [u64],
+) -> Result<KernelTickStats, EngineError> {
     // The batched SoA path produces bit-identical probabilities but
     // collapses per-chain work into lane loops, so it has no natural
     // place for the legacy per-chain `chain_step` spans. When tracing
@@ -453,24 +459,21 @@ fn step_shard(
             cache,
             failpoint,
             &mut shard.scratch,
+            probs,
+            query_ns,
         );
     }
-    // This scalar loop advances chain masses behind the batched path's
-    // back; tell its scratch so no stale `next` matrix is swapped in as
-    // a later tick's mass.
-    shard.scratch.invalidate_residency();
-    fn elapsed_ns(since: Instant) -> u64 {
-        u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-    let mut probs = Vec::with_capacity(shard.chains.len());
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
+    // This scalar loop advances chains behind the batched path's back;
+    // tell its scratch to replan and to swap in no stale `next` matrix
+    // as a later tick's mass.
+    shard.scratch.invalidate();
     let mut kernel = KernelTickStats::default();
     let mut run: Option<(usize, Instant)> = None;
-    for (qi, chain) in &mut shard.chains {
+    for (i, (qi, chain)) in shard.chains.iter_mut().enumerate() {
         crate::failpoint::check(failpoint)?;
         match run {
             Some((q, started)) if q != *qi => {
-                query_ns.push((q, elapsed_ns(started)));
+                query_ns[q] = query_ns[q].saturating_add(crate::soa::elapsed_ns(started));
                 run = Some((*qi, Instant::now()));
             }
             None => run = Some((*qi, Instant::now())),
@@ -479,16 +482,16 @@ fn step_shard(
         let _span = crate::trace::span("chain_step")
             .with("query", *qi as u64)
             .with("t", u64::from(chain.next_t()));
-        probs.push(chain.step_with_cache(marginals, Some(cache))?);
+        probs[i] = chain.step_with_cache(marginals, Some(cache))?;
         kernel.steps.add(chain.take_kernel_counters());
     }
     if let Some((q, started)) = run {
-        query_ns.push((q, elapsed_ns(started)));
+        query_ns[q] = query_ns[q].saturating_add(crate::soa::elapsed_ns(started));
     }
     let (sym_hits, sym_misses) = cache.take_counters();
     kernel.sym_hits += sym_hits;
     kernel.sym_misses += sym_misses;
-    Ok((probs, query_ns, kernel))
+    Ok(kernel)
 }
 
 /// Steps every chain in `shard` through every tick of an epoch —
@@ -499,18 +502,25 @@ fn step_shard(
 fn step_shard_epoch(
     shard: &mut Shard,
     ticks: &[Arc<Vec<Marginal>>],
+    n_queries: usize,
     cache: &mut SymCache,
     failpoint: &'static str,
 ) -> Result<SteppedEpoch, EngineError> {
     let mut probs = Vec::with_capacity(ticks.len());
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
+    let mut query_ns = vec![0u64; n_queries];
     let mut kernel = KernelTickStats::default();
     for tick_marginals in ticks {
         cache.begin_tick();
-        let (tick_probs, tick_ns, tick_kernel) =
-            step_shard(shard, tick_marginals, cache, failpoint)?;
+        let mut tick_probs = vec![0.0; shard.chains.len()];
+        let tick_kernel = step_shard(
+            shard,
+            tick_marginals,
+            cache,
+            failpoint,
+            &mut tick_probs,
+            &mut query_ns,
+        )?;
         probs.push(tick_probs);
-        query_ns.extend(tick_ns);
         kernel.add(&tick_kernel);
     }
     Ok((probs, query_ns, kernel))
@@ -522,7 +532,11 @@ fn step_shard_epoch(
 /// abandoned the epoch (watchdog trip), the send lands on a dropped
 /// receiver and is discarded here.
 fn run_epoch_job(index: usize, job: EpochJob, replies: &Sender<Reply>) {
-    let EpochJob { shard, ticks } = job;
+    let EpochJob {
+        shard,
+        ticks,
+        n_queries,
+    } = job;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let mut shard = shard;
         let _span = crate::trace::span("worker_step")
@@ -530,7 +544,7 @@ fn run_epoch_job(index: usize, job: EpochJob, replies: &Sender<Reply>) {
             .with("chains", shard.chains.len() as u64)
             .with("ticks", ticks.len() as u64);
         let stepped = crate::pool::with_sym_cache(|cache| {
-            step_shard_epoch(&mut shard, &ticks, cache, "worker_step")
+            step_shard_epoch(&mut shard, &ticks, n_queries, cache, "worker_step")
         })?;
         Ok::<_, EngineError>((shard, stepped))
     }));
@@ -580,18 +594,9 @@ pub struct RealTimeSession {
     /// doesn't queue behind its own stragglers.
     stalled_epoch: Option<Receiver<Reply>>,
     /// The most recent checkpoint (manual or automatic); the fast
-    /// restore base for [`RealTimeSession::recover`].
+    /// restore base for [`RealTimeSession::recover`], which replays
+    /// from there through the database history.
     last_checkpoint: Option<Checkpoint>,
-    /// Marginals of every tick closed since `last_checkpoint`
-    /// (`replay_log[i]` belongs to tick `replay_base + i`, including the
-    /// currently failed tick when poisoned). Truncated at each
-    /// checkpoint, so auto-checkpointing bounds it to
-    /// [`SessionConfig::checkpoint_interval`] entries. Only maintained
-    /// once a checkpoint exists: before that, recovery replays from the
-    /// database's recorded history instead.
-    replay_log: Vec<Arc<Vec<Marginal>>>,
-    /// Tick index of `replay_log[0]`.
-    replay_base: u32,
     stats: EngineStats,
     /// Live scrape endpoint, running while the session exists (see
     /// [`SessionConfig::metrics_addr`]). Holds a clone of `stats`, which
@@ -645,8 +650,6 @@ impl RealTimeSession {
             degraded: false,
             stalled_epoch: None,
             last_checkpoint: None,
-            replay_log: Vec::new(),
-            replay_base: 0,
             stats,
             metrics_server,
             sym_cache: SymCache::new(),
@@ -721,6 +724,8 @@ impl RealTimeSession {
                 for (_, chain) in &mut shard.chains {
                     chain.force_interpreter(on);
                 }
+                // Forced chains leave their batches: replan.
+                shard.scratch.invalidate();
             }
         }
     }
@@ -732,17 +737,20 @@ impl RealTimeSession {
         effective_workers_of(&self.config)
     }
 
-    /// Whether the configured [`TickMode`] asks for the parallel path,
-    /// before the degraded-mode override. An epoch actually runs
-    /// parallel only when this holds *and* the session is not degraded;
-    /// the distinction is what `lahar_degraded_ticks` counts — ticks
-    /// genuinely diverted off the pool, not ticks that never wanted it.
-    fn wants_parallel(&self) -> bool {
+    /// Whether the configured [`TickMode`] asks for the parallel path
+    /// for an epoch of `ticks` ticks, before the degraded-mode override.
+    /// An epoch actually runs parallel only when this holds *and* the
+    /// session is not degraded; the distinction is what
+    /// `lahar_degraded_ticks` counts — ticks genuinely diverted off the
+    /// pool, not ticks that never wanted it.
+    fn wants_parallel(&self, ticks: usize) -> bool {
         match self.config.tick_mode {
             TickMode::Sequential => false,
             TickMode::Parallel => true,
             TickMode::Auto => {
-                self.effective_workers() > 1 && self.total_chains >= self.config.parallel_threshold
+                ticks >= 2
+                    && self.effective_workers() > 1
+                    && self.total_chains >= self.config.parallel_threshold
             }
         }
     }
@@ -1037,35 +1045,24 @@ impl RealTimeSession {
             for (stream, marginal) in batch {
                 self.staged[stream.index()] = Some(marginal);
             }
-            let mut tick_marginals = Vec::with_capacity(self.staged.len());
-            for idx in 0..self.staged.len() {
-                let marginal = self.staged[idx]
-                    .take()
-                    .unwrap_or_else(|| Marginal::all_bottom(self.db.streams()[idx].domain()));
-                self.db.push_marginal_at(idx, marginal.clone())?;
-                tick_marginals.push(marginal);
-            }
-            let marginals = Arc::new(tick_marginals);
-            if self.last_checkpoint.is_some() {
-                // Appended before stepping so the marginals of an epoch
-                // that faults mid-step are already available to
-                // recover().
-                self.replay_log.push(marginals.clone());
-            }
-            epoch.push(marginals);
+            epoch.push(Arc::new(self.take_staged()));
         }
-        let wants_parallel = self.wants_parallel();
+        let wants_parallel = self.wants_parallel(k);
         // Degraded mode overrides every `TickMode`: after a watchdog
         // timeout the pool is not trusted until clear_degraded().
         let parallel = wants_parallel && !self.degraded;
         self.epoch_in_flight = k as u32;
-        let (probs, query_ns, kernel) = if parallel {
-            self.step_chains_parallel(&epoch)?
+        let stepped = if parallel {
+            self.step_chains_parallel(&epoch)
         } else {
-            self.step_chains_sequential(&epoch)?
+            self.step_chains_sequential(&epoch)
         };
-        // A fault above returns early, leaving `epoch_in_flight` set for
-        // recover(); reaching here means every tick of the epoch closed.
+        // Recorded even when the step faulted: recover() replays the
+        // interrupted epoch from the database history.
+        self.record_history(epoch);
+        // A fault returns here, leaving `epoch_in_flight` set for
+        // recover(); past it every tick of the epoch closed.
+        let (probs, query_ns, kernel) = stepped?;
         self.epoch_in_flight = 0;
         self.stats.record_kernel(&kernel);
         self.stats.record_epoch(k as u64);
@@ -1091,6 +1088,35 @@ impl RealTimeSession {
             alerts.extend(tick_alerts);
         }
         Ok(alerts)
+    }
+
+    /// Takes the closing tick's staged marginals, one per stream in
+    /// stream order, with all-⊥ for streams nothing was staged on.
+    fn take_staged(&mut self) -> Vec<Marginal> {
+        let streams = self.db.streams();
+        self.staged
+            .iter_mut()
+            .zip(streams)
+            .map(|(slot, stream)| {
+                slot.take()
+                    .unwrap_or_else(|| Marginal::all_bottom(stream.domain()))
+            })
+            .collect()
+    }
+
+    /// Appends an epoch's marginals to the database history, moving
+    /// them out of their `Arc`s. Every worker drops its handles before
+    /// it replies, so only the handles of an epoch the watchdog
+    /// abandoned are still shared, and those marginals are copied.
+    fn record_history(&mut self, epoch: Vec<Arc<Vec<Marginal>>>) {
+        for tick in epoch {
+            let marginals = Arc::try_unwrap(tick).unwrap_or_else(|shared| shared.to_vec());
+            for (idx, marginal) in marginals.into_iter().enumerate() {
+                self.db
+                    .push_marginal_at(idx, marginal)
+                    .expect("staged marginals match their stream's domain");
+            }
+        }
     }
 
     /// Recombines per-chain probabilities (global sequence order) into
@@ -1130,7 +1156,7 @@ impl RealTimeSession {
     fn step_chains_sequential(
         &mut self,
         epoch: &[Arc<Vec<Marginal>>],
-    ) -> Result<SteppedSession, EngineError> {
+    ) -> Result<SteppedEpoch, EngineError> {
         let n_shards = self.shards.len();
         let mut shards = std::mem::take(&mut self.shards);
         let total = self.total_chains;
@@ -1149,14 +1175,15 @@ impl RealTimeSession {
                 let mut probs = vec![0.0; total];
                 for slot in &mut shards {
                     let shard = slot.as_mut().expect("all shards home between ticks");
-                    let (shard_probs, shard_ns, shard_kernel) =
-                        step_shard(shard, tick_marginals, cache, "sequential_step")?;
-                    probs[shard.start..shard.start + shard_probs.len()]
-                        .copy_from_slice(&shard_probs);
-                    for (qi, ns) in shard_ns {
-                        query_ns[qi] = query_ns[qi].saturating_add(ns);
-                    }
-                    kernel.add(&shard_kernel);
+                    let range = shard.start..shard.start + shard.chains.len();
+                    kernel.add(&step_shard(
+                        shard,
+                        tick_marginals,
+                        cache,
+                        "sequential_step",
+                        &mut probs[range],
+                        &mut query_ns,
+                    )?);
                 }
                 epoch_probs.push(probs);
             }
@@ -1197,7 +1224,7 @@ impl RealTimeSession {
     fn step_chains_parallel(
         &mut self,
         epoch: &[Arc<Vec<Marginal>>],
-    ) -> Result<SteppedSession, EngineError> {
+    ) -> Result<SteppedEpoch, EngineError> {
         self.ensure_shards(self.effective_workers());
         let k = epoch.len();
         let deadline = self
@@ -1216,6 +1243,7 @@ impl RealTimeSession {
             let job = EpochJob {
                 shard,
                 ticks: epoch.to_vec(),
+                n_queries: self.queries.len(),
             };
             let reply_tx = reply_tx.clone();
             crate::pool::spawn(move || run_epoch_job(w, job, &reply_tx));
@@ -1244,8 +1272,8 @@ impl RealTimeSession {
                         probs[j][shard.start..shard.start + tick_probs.len()]
                             .copy_from_slice(tick_probs);
                     }
-                    for (qi, ns) in shard_ns {
-                        query_ns[qi] = query_ns[qi].saturating_add(ns);
+                    for (total, ns) in query_ns.iter_mut().zip(shard_ns) {
+                        *total = total.saturating_add(ns);
                     }
                     kernel.add(&shard_kernel);
                     self.shards[w] = Some(shard);
@@ -1294,10 +1322,9 @@ impl RealTimeSession {
     /// and automaton cursors, registered queries, staged marginals, the
     /// recorded marginal history, the timestep, and stats — into a
     /// versioned [`Checkpoint`] (serializable via
-    /// [`Checkpoint::to_json`]). Also resets the recovery replay log, so
-    /// future [`RealTimeSession::recover`] calls restart from this
-    /// snapshot. Requires every query to have been registered from
-    /// source text.
+    /// [`Checkpoint::to_json`]). Future [`RealTimeSession::recover`]
+    /// calls restart from this snapshot. Requires every query to have
+    /// been registered from source text.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, EngineError> {
         self.ensure_live()?;
         let _span = crate::trace::span("checkpoint")
@@ -1361,8 +1388,6 @@ impl RealTimeSession {
             stats: self.stats.export_state(),
         };
         self.last_checkpoint = Some(ckpt.clone());
-        self.replay_log.clear();
-        self.replay_base = self.t;
         Ok(ckpt)
     }
 
@@ -1488,39 +1513,7 @@ impl RealTimeSession {
         // Gauges describe the rebuilt chains, not the checkpointed ones.
         session.record_automata_stats();
         session.last_checkpoint = Some(ckpt.clone());
-        session.replay_base = ckpt.t;
         Ok(session)
-    }
-
-    /// Replays a chain forward to `target`: through the in-memory replay
-    /// log where it covers the gap (ticks since the last checkpoint) and
-    /// through the database's recorded history otherwise. Both paths run
-    /// the same arithmetic as live ticks, so the result is bit-identical
-    /// to having never lost the chain. `on_step` observes every replayed
-    /// step as `(closed tick, accept probability)` — how recovery
-    /// collects the per-tick answers of an interrupted multi-tick epoch.
-    fn replay_chain(
-        &self,
-        chain: &mut ChainEvaluator,
-        target: u32,
-        mut on_step: impl FnMut(u32, f64),
-    ) -> Result<(), EngineError> {
-        while chain.next_t() < target {
-            let t = chain.next_t();
-            let log_entry = t
-                .checked_sub(self.replay_base)
-                .and_then(|d| self.replay_log.get(d as usize));
-            match log_entry {
-                Some(ms) => {
-                    chain.step_with_marginals(ms)?;
-                }
-                None => {
-                    chain.step(&self.db);
-                }
-            }
-            on_step(t, chain.accept_prob());
-        }
-        Ok(())
     }
 
     /// Repairs a poisoned session and completes the interrupted epoch,
@@ -1529,10 +1522,12 @@ impl RealTimeSession {
     ///
     /// Shards lost to the fault (a panicked worker's chains, or every
     /// chain after a sequential-path fault) are rebuilt structurally
-    /// from their queries' source text, fast-forwarded from the last
-    /// [`RealTimeSession::checkpoint`] plus the bounded replay log —
-    /// or from the database's full recorded history when no checkpoint
-    /// exists — and recombined with the surviving shards' answers. The
+    /// from their queries' source text, restored from the last
+    /// [`RealTimeSession::checkpoint`] (or from scratch when none
+    /// exists), fast-forwarded through the database's recorded history
+    /// — which holds the interrupted epoch's marginals too — and
+    /// recombined with the surviving shards' answers. Replay runs the
+    /// same arithmetic as live ticks. The
     /// completed ticks' alerts, and all subsequent ticks', are
     /// bit-identical to a run that never faulted. After a
     /// [`EngineError::TickTimeout`] the session stays in degraded
@@ -1578,7 +1573,7 @@ impl RealTimeSession {
         // *final* accept probability. For a one-tick epoch that is
         // exactly the lost tick's answer; a longer epoch also needs the
         // intermediate ticks', so every chain is rebuilt and replayed
-        // (the replay log already holds all k ticks' marginals).
+        // (the history already holds all k ticks' marginals).
         if k > 1 {
             survivors.iter_mut().for_each(|slot| *slot = None);
         }
@@ -1631,11 +1626,13 @@ impl RealTimeSession {
                                 chain.restore_state(state)?;
                             }
                         }
-                        self.replay_chain(&mut chain, target, |t, p| {
+                        while chain.next_t() < target {
+                            let t = chain.next_t();
+                            let p = chain.step(&self.db);
                             if t >= base {
                                 probs[(t - base) as usize][g] = p;
                             }
-                        })?;
+                        }
                         (qi, chain)
                     }
                 };
@@ -2078,6 +2075,43 @@ mod tests {
         assert!(session.is_poisoned());
     }
 
+    /// Stages `tick` on both sessions, closes it normally on
+    /// `reference`, and leaves `faulty` exactly as a fault in that
+    /// tick's step would: its marginals recorded in the history, every
+    /// shard lost, the clock not advanced. Then checks that recover()
+    /// answers the tick bit-identically to `reference`.
+    fn fault_then_recover_matches(
+        faulty: &mut RealTimeSession,
+        reference: &mut RealTimeSession,
+        tick: &[(usize, Marginal)],
+    ) {
+        for (idx, m) in tick {
+            faulty.stage(sid(faulty, *idx), m.clone()).unwrap();
+            reference.stage(sid(reference, *idx), m.clone()).unwrap();
+        }
+        let reference_alerts = reference.tick().unwrap();
+        let marginals = faulty.take_staged();
+        faulty.record_history(vec![Arc::new(marginals)]);
+        let n_shards = faulty.shards.len();
+        faulty.shards = (0..n_shards).map(|_| None).collect();
+        faulty.poisoned = true;
+
+        let recovered_alerts = faulty.recover().unwrap();
+        assert!(!faulty.is_poisoned());
+        assert_eq!(recovered_alerts.len(), reference_alerts.len());
+        for (a, b) in recovered_alerts.iter().zip(&reference_alerts) {
+            assert_eq!(a.t, b.t);
+            assert_eq!(
+                a.probability.to_bits(),
+                b.probability.to_bits(),
+                "{}: {} vs {}",
+                a.name,
+                a.probability,
+                b.probability
+            );
+        }
+    }
+
     /// Simulates the state a mid-tick fault leaves behind (marginals
     /// recorded, every shard lost, clock not advanced) and checks that
     /// recover() completes the tick bit-identically to a fault-free
@@ -2107,40 +2141,13 @@ mod tests {
             faulty.tick().unwrap();
             reference.tick().unwrap();
         }
-        // Fault injection by hand: the failing tick records its
-        // marginals, then loses every shard before the clock advances —
-        // exactly what a sequential-path panic leaves behind.
-        let fault_tick = vec![(1usize, sue.marginal(&[("c", 0.9)]).unwrap())];
-        for (idx, m) in &fault_tick {
-            faulty.stage(sid(&faulty, *idx), m.clone()).unwrap();
-            reference.stage(sid(&reference, *idx), m.clone()).unwrap();
-        }
-        let reference_alerts = reference.tick().unwrap();
-        for idx in 0..faulty.staged.len() {
-            let marginal = faulty.staged[idx]
-                .take()
-                .unwrap_or_else(|| Marginal::all_bottom(faulty.db.streams()[idx].domain()));
-            let id = faulty.db.streams()[idx].id().clone();
-            faulty.db.push_marginal(&id, marginal).unwrap();
-        }
-        let n_shards = faulty.shards.len();
-        faulty.shards = (0..n_shards).map(|_| None).collect();
-        faulty.poisoned = true;
-
-        let recovered_alerts = faulty.recover().unwrap();
-        assert!(!faulty.is_poisoned());
-        assert_eq!(recovered_alerts.len(), reference_alerts.len());
-        for (a, b) in recovered_alerts.iter().zip(&reference_alerts) {
-            assert_eq!(a.t, b.t);
-            assert_eq!(
-                a.probability.to_bits(),
-                b.probability.to_bits(),
-                "{}: {} vs {}",
-                a.name,
-                a.probability,
-                b.probability
-            );
-        }
+        // Fault injection by hand: exactly what a sequential-path panic
+        // leaves behind.
+        fault_then_recover_matches(
+            &mut faulty,
+            &mut reference,
+            &[(1, sue.marginal(&[("c", 0.9)]).unwrap())],
+        );
         assert_eq!(faulty.stats().snapshot().recoveries, 1);
         // Subsequent ticks stay bit-identical too.
         faulty
@@ -2234,34 +2241,42 @@ mod tests {
         ));
     }
 
+    /// Auto-checkpoints land on the interval, and recovery restarts
+    /// from the newest one, replaying the ticks since through the
+    /// database history bit-identically.
     #[test]
-    fn auto_checkpointing_follows_interval_and_bounds_replay_log() {
-        let (db, joe, _) = schema_db();
-        let mut session = RealTimeSession::with_config(
-            db,
-            SessionConfig::builder()
+    fn auto_checkpointing_follows_interval_and_recovers_from_it() {
+        let mk = || {
+            let (db, joe, _) = schema_db();
+            let config = SessionConfig::builder()
                 .checkpoint_interval(2)
                 .build()
-                .unwrap(),
-        )
-        .unwrap();
-        session.register("q", "At('joe','a')").unwrap();
-        assert!(session.last_checkpoint().is_none());
-        for i in 0..6 {
-            session
-                .stage(
-                    sid(&session, 0),
-                    joe.marginal(&[("a", 0.1 * (i + 1) as f64)]).unwrap(),
-                )
                 .unwrap();
-            session.tick().unwrap();
-            // The replay log only accumulates ticks since the newest
-            // checkpoint: never more than the interval.
-            assert!(session.replay_log.len() < 2);
+            let mut session = RealTimeSession::with_config(db, config).unwrap();
+            session
+                .register("q", "At('joe','a') ; At('joe','c')")
+                .unwrap();
+            (session, joe)
+        };
+        let (mut session, joe) = mk();
+        let (mut reference, _) = mk();
+        assert!(session.last_checkpoint().is_none());
+        for i in 0..7 {
+            for s in [&mut session, &mut reference] {
+                let m = joe.marginal(&[("a", 0.1 * (i + 1) as f64), ("c", 0.05)]);
+                s.stage(sid(s, 0), m.unwrap()).unwrap();
+                s.tick().unwrap();
+            }
         }
         let ckpt = session.last_checkpoint().expect("auto-checkpoint taken");
         assert_eq!(ckpt.t(), 6);
         assert_eq!(session.stats().snapshot().checkpoints_taken, 3);
+        // Tick 7 faults: recovery restores t = 6 and replays ticks 6–7.
+        fault_then_recover_matches(
+            &mut session,
+            &mut reference,
+            &[(0, joe.marginal(&[("c", 0.7)]).unwrap())],
+        );
     }
 
     #[test]
@@ -2298,6 +2313,58 @@ mod tests {
         session.clear_degraded();
         session.tick().unwrap();
         assert_eq!(session.stats().snapshot().parallel_ticks, 2);
+    }
+
+    /// Under `TickMode::Auto`, above the threshold, a single tick steps
+    /// in place and an epoch of k ≥ 2 ticks goes to the pool as k
+    /// parallel ticks; both answer like a sequential session.
+    #[test]
+    fn auto_mode_pools_only_multi_tick_epochs() {
+        let mk = |mode| {
+            let (db, joe, sue) = schema_db();
+            let config = SessionConfig::builder()
+                .tick_mode(mode)
+                .n_workers(2)
+                .parallel_threshold(2)
+                .build()
+                .unwrap();
+            let mut session = RealTimeSession::with_config(db, config).unwrap();
+            session.register("x", "At(p,'a') ; At(p,'c')").unwrap();
+            (session, joe, sue)
+        };
+        let (mut auto, joe, sue) = mk(TickMode::Auto);
+        let (mut seq, _, _) = mk(TickMode::Sequential);
+        assert_eq!(auto.n_chains(), 2);
+        let same_bits = |a: &[Alert], b: &[Alert]| {
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(
+                    (x.t, x.probability.to_bits()),
+                    (y.t, y.probability.to_bits())
+                );
+            }
+        };
+
+        for s in [&mut auto, &mut seq] {
+            s.stage(sid(s, 0), joe.marginal(&[("a", 0.6)]).unwrap())
+                .unwrap();
+        }
+        same_bits(&auto.tick().unwrap(), &seq.tick().unwrap());
+        let snap = auto.stats().snapshot();
+        assert_eq!((snap.ticks, snap.parallel_ticks), (1, 0));
+
+        let epoch: Vec<Vec<(StreamId, Marginal)>> = vec![
+            vec![(sid(&auto, 1), sue.marginal(&[("a", 0.3)]).unwrap())],
+            vec![(sid(&auto, 0), joe.marginal(&[("c", 0.5)]).unwrap())],
+            vec![(sid(&auto, 1), sue.marginal(&[("c", 0.8)]).unwrap())],
+        ];
+        same_bits(
+            &auto.tick_epoch(epoch.clone()).unwrap(),
+            &seq.tick_epoch(epoch).unwrap(),
+        );
+        let snap = auto.stats().snapshot();
+        assert_eq!((snap.ticks, snap.parallel_ticks), (4, 3));
+        assert_eq!(snap.degraded_ticks, 0);
     }
 
     /// A whole epoch handed to `tick_epoch` answers bit-identically to
@@ -2388,7 +2455,7 @@ mod tests {
         let epoch: Vec<Vec<(StreamId, Marginal)>> = (0..5)
             .map(|i| vec![(id, joe.marginal(&[("a", 0.1 * (i + 1) as f64)]).unwrap())])
             .collect();
-        session.tick_epoch(epoch).unwrap();
+        session.tick_epoch(epoch.clone()).unwrap();
         let snap = session.stats().snapshot();
         assert_eq!(snap.ticks, 5);
         // Interval-2 boundaries at t=2 and t=4 split the batch 2+2+1.
@@ -2397,8 +2464,22 @@ mod tests {
         assert_eq!(snap.checkpoints_taken, 2);
         let ckpt = session.last_checkpoint().expect("auto-checkpoint taken");
         assert_eq!(ckpt.t(), 4);
-        // The replay log only spans ticks since that checkpoint.
-        assert_eq!(session.replay_log.len(), 1);
+        // Recovery from that checkpoint replays tick 4, which closed in
+        // the batch, and the faulted tick 5 from the history.
+        let (db, _, _) = schema_db();
+        let mut reference = RealTimeSession::new(db).unwrap();
+        reference.register("q", "At('joe','a')").unwrap();
+        for batch in epoch {
+            for (id, m) in batch {
+                reference.stage(id, m).unwrap();
+            }
+            reference.tick().unwrap();
+        }
+        fault_then_recover_matches(
+            &mut session,
+            &mut reference,
+            &[(0, joe.marginal(&[("a", 0.9)]).unwrap())],
+        );
     }
 
     /// Regression: shrinking the shard layout used to

@@ -43,6 +43,11 @@
 //! closure discovered, which the freeze heuristics reach within a few
 //! ticks — every tick takes the fast path.
 //!
+//! The grouping itself is planned once and reused tick after tick; it
+//! is replanned only after a chain's layout changed (discovery, scalar
+//! fallback, the forced interpreter toggled, or a repartition, which
+//! starts a fresh scratch).
+//!
 //! When span tracing is enabled the shard steps chains scalar so the
 //! per-chain `chain_step` spans keep their exact legacy shape.
 
@@ -74,19 +79,25 @@ pub(crate) struct SoaScratch {
     /// Chain indices stepped scalar this tick (non-independent, forced
     /// interpreter, or in a group below [`MIN_LANES`]).
     singles: Vec<usize>,
-    /// Per-chain `(automaton ptr, layout fingerprint, syms fingerprint)`
-    /// from the plan pass.
-    keys: Vec<Option<(usize, u64, u64)>>,
+    /// Whether `groups` and `singles` still partition the shard by the
+    /// chains' current layouts, so the next tick can reuse them instead
+    /// of replanning. Cleared whenever a layout may have changed:
+    /// discovery, a split or scalar fallback, a single whose numbering
+    /// grew, and [`SoaScratch::invalidate`]. A fresh scratch (every
+    /// repartition builds one) starts unplanned.
+    planned: bool,
     /// Monotone batched-tick counter; see [`Group::commit_seq`].
     seq: u64,
 }
 
 impl SoaScratch {
-    /// Marks that chain masses advanced outside the batched path (the
-    /// tracing-mode scalar loop steps chains directly): any `next`
-    /// matrix a group still holds no longer mirrors its chains, so the
-    /// next batched tick must re-gather instead of swapping it in.
-    pub(crate) fn invalidate_residency(&mut self) {
+    /// Marks that chains changed outside the batched path: stepped by
+    /// the tracing-mode scalar loop, or switched to or from the forced
+    /// interpreter. The next batched tick replans, and any `next`
+    /// matrix a group still holds no longer mirrors its chains, so it
+    /// re-gathers instead of swapping that matrix in.
+    pub(crate) fn invalidate(&mut self) {
+        self.planned = false;
         self.seq = self.seq.wrapping_add(1);
     }
 }
@@ -101,6 +112,9 @@ struct Group {
     syms_hash: u64,
     /// Chain indices (shard order) — the lanes.
     lanes: Vec<usize>,
+    /// `(query index, lane count)` per run of same-query lanes: how a
+    /// tick's wall time is attributed to queries, one add per run.
+    query_lanes: Vec<(usize, u64)>,
     /// Per lane: this tick's distribution index in the symbol cache.
     dist_idx: Vec<u32>,
     /// Sorted union of the lanes' distribution supports.
@@ -184,37 +198,42 @@ fn layout_fingerprint(l2s: &[u32]) -> u64 {
     h
 }
 
-fn elapsed_ns(since: Instant) -> u64 {
+/// Wall-clock nanoseconds since `since`, saturating.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What one shard tick hands back: per-chain accept probabilities,
-/// per-query `(query, ns)` wall-time attribution, and kernel counters.
-pub(crate) type ShardStepOutput = (Vec<f64>, Vec<(usize, u64)>, KernelTickStats);
-
 /// Steps every chain in the shard against one tick's marginals —
-/// batched where layouts allow, scalar otherwise. Drop-in replacement
-/// for the scalar per-chain loop: returns the same `(probs, query_ns,
-/// kernel stats)` triple, with per-batch wall time apportioned evenly
-/// across a batch's lanes for the per-query attribution.
+/// batched where layouts allow, scalar otherwise — writing each chain's
+/// accept probability to `probs` (shard order) and adding the tick's
+/// wall time to `query_ns` (indexed by query). A batch's time is
+/// apportioned evenly across its lanes. Returns the kernel counters.
+///
+/// The group plan is reused from the previous tick unless a chain's
+/// layout changed (see `SoaScratch::planned`).
 pub(crate) fn step_shard_chains(
     chains: &mut [(usize, ChainEvaluator)],
     marginals: &[Marginal],
     cache: &mut SymCache,
     failpoint: &'static str,
     scratch: &mut SoaScratch,
-) -> Result<ShardStepOutput, EngineError> {
+    probs: &mut [f64],
+    query_ns: &mut [u64],
+) -> Result<KernelTickStats, EngineError> {
     // The batch path checks all failpoints up front (a faulted tick
     // mutates no chain at all — strictly cleaner than the scalar path's
     // partial progress; recovery semantics are identical either way).
     for _ in chains.iter() {
         crate::failpoint::check(failpoint)?;
     }
-    let mut probs = vec![0.0f64; chains.len()];
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
     let mut kernel = KernelTickStats::default();
 
-    plan_groups(chains, scratch);
+    // Unplanned until this tick completes: a fault below leaves the
+    // scratch marked for a replan.
+    if !std::mem::replace(&mut scratch.planned, false) {
+        plan_groups(chains, scratch);
+    }
+    let mut relaid = false;
     scratch.seq = scratch.seq.wrapping_add(1);
     let seq = scratch.seq;
 
@@ -223,38 +242,33 @@ pub(crate) fn step_shard_chains(
     let mut groups = std::mem::take(&mut scratch.groups);
     for g in &mut groups {
         let started = Instant::now();
-        step_group(
-            g,
-            chains,
-            marginals,
-            cache,
-            &mut kernel,
-            &mut probs,
-            seq,
-            true,
-        )?;
+        relaid |= step_group(g, chains, marginals, cache, &mut kernel, probs, seq, true)?;
         let per_lane = elapsed_ns(started) / g.lanes.len().max(1) as u64;
-        for &idx in &g.lanes {
-            query_ns.push((chains[idx].0, per_lane));
+        for &(qi, n) in &g.query_lanes {
+            query_ns[qi] = query_ns[qi].saturating_add(per_lane * n);
         }
     }
     scratch.groups = groups;
 
-    // Step the leftovers scalar, exactly like the legacy loop.
+    // Step the leftovers scalar, exactly like the legacy loop. A single
+    // whose numbering grew may now share a group's layout: replan.
     let singles = std::mem::take(&mut scratch.singles);
     for &idx in &singles {
         let started = Instant::now();
         let (qi, chain) = &mut chains[idx];
+        let n_states = chain.n_dfa_states();
         probs[idx] = chain.step_with_cache(marginals, Some(cache))?;
+        relaid |= chain.n_dfa_states() != n_states;
         kernel.steps.add(chain.take_kernel_counters());
-        query_ns.push((*qi, elapsed_ns(started)));
+        query_ns[*qi] = query_ns[*qi].saturating_add(elapsed_ns(started));
     }
     scratch.singles = singles;
+    scratch.planned = !relaid;
 
     let (sym_hits, sym_misses) = cache.take_counters();
     kernel.sym_hits += sym_hits;
     kernel.sym_misses += sym_misses;
-    Ok((probs, query_ns, kernel))
+    Ok(kernel)
 }
 
 /// Partitions the shard's chains into layout-homogeneous groups plus a
@@ -264,11 +278,9 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
         g.lanes.clear();
     }
     scratch.singles.clear();
-    scratch.keys.clear();
     for (idx, (_, chain)) in chains.iter().enumerate() {
         let Some(desc) = chain.soa_descriptor() else {
             scratch.singles.push(idx);
-            scratch.keys.push(None);
             continue;
         };
         let key = (
@@ -276,7 +288,6 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
             chain.layout_fp().expect("SoA-eligible chain"),
             chain.syms_fingerprint(),
         );
-        scratch.keys.push(Some(key));
         // Linear scan: group counts stay small (one per automaton ×
         // layout variant × query symbol table present in the shard).
         let found = scratch.groups.iter_mut().find(|g| {
@@ -318,6 +329,18 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
     scratch.groups.retain(|g| !g.lanes.is_empty());
     // Keep the scalar leftovers in shard order (append may interleave).
     scratch.singles.sort_unstable();
+    // Lanes are in shard order and a shard holds each query's chains
+    // contiguously, so a group's lanes fall into one run per query.
+    for g in &mut scratch.groups {
+        g.query_lanes.clear();
+        for &idx in &g.lanes {
+            let qi = chains[idx].0;
+            match g.query_lanes.last_mut() {
+                Some((q, n)) if *q == qi => *n += 1,
+                _ => g.query_lanes.push((qi, 1)),
+            }
+        }
+    }
 }
 
 /// The shared outcome → symbol-set table when every lane of the group
@@ -341,6 +364,8 @@ fn single_stream_shape<'c>(
 /// merge the union support, resolve transition columns, then route mass
 /// in flat lane loops. Falls back to per-chain scalar stepping when a
 /// transition out of an occupied state would leave the lanes' numbering.
+/// Returns whether any lane's layout may have changed (a discovery, a
+/// split or a scalar fallback), which invalidates the group plan.
 #[allow(clippy::too_many_arguments)] // one hot internal call site
 fn step_group(
     g: &mut Group,
@@ -351,7 +376,7 @@ fn step_group(
     probs: &mut [f64],
     seq: u64,
     allow_split: bool,
-) -> Result<(), EngineError> {
+) -> Result<bool, EngineError> {
     let lanes = g.lanes.len();
     // An unchanged lane list is the precondition for every cross-tick
     // cache below (captured before the shape block refreshes it).
@@ -699,7 +724,7 @@ fn step_group(
                     )?;
                 }
                 g.commit_seq = 0;
-                return Ok(());
+                return Ok(true);
             }
         }
         // Scalar fallback (discovery already ran, so these steps resolve
@@ -710,7 +735,7 @@ fn step_group(
             probs[idx] = chain.step_with_cache(marginals, Some(cache))?;
             kernel.steps.add(chain.take_kernel_counters());
         }
-        return Ok(());
+        return Ok(true);
     }
 
     // Phases 6–8 fused, in blocks of [`LANE_BLOCK`] lanes: route, then
@@ -765,7 +790,7 @@ fn step_group(
     } else {
         kernel.steps.soa += routed;
     }
-    Ok(())
+    Ok(discovered)
 }
 
 #[cfg(test)]

@@ -423,3 +423,190 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Plan reuse: the SoA batcher keeps its group plan across ticks and must
+// replan whenever a chain's layout changes
+// ---------------------------------------------------------------------------
+
+/// Keys per scenario: enough that every query's chains form SoA batches
+/// (a batch needs at least four lanes).
+const WIDE: usize = 12;
+
+/// One step of a plan-reuse script.
+#[derive(Clone)]
+enum Step {
+    /// Close a tick with these per-person weights.
+    Tick(Vec<(f64, f64, f64)>),
+    /// Toggle the forced interpreter on the session under test.
+    ForceInterpreter(bool),
+    /// Register `QUERIES[i]` on both sessions.
+    Register(usize),
+}
+
+/// Deterministic weights for tick `t`, person `p`: every shape from all-⊥
+/// to three-way supports.
+fn mixed_row(t: usize) -> Vec<(f64, f64, f64)> {
+    (0..WIDE)
+        .map(|p| {
+            let x = (t * 31 + p * 17) % 7;
+            let f = |k: usize| {
+                if x & k != 0 {
+                    0.1 + 0.1 * ((t + p) % 5) as f64
+                } else {
+                    0.0
+                }
+            };
+            (f(1), f(2), f(4))
+        })
+        .collect()
+}
+
+/// Runs `script` on a session under `mode` (ticks grouped into
+/// `tick_epoch` calls of up to `epoch`) and on a sequential
+/// forced-interpreter reference, asserting bit-identical alerts.
+fn assert_script_matches_interpreter(
+    script: &[Step],
+    initial: &[usize],
+    mode: TickMode,
+    epoch: usize,
+) {
+    let mk = |mode: TickMode| {
+        let config = SessionConfig::builder()
+            .tick_mode(mode)
+            .n_workers(2)
+            .parallel_threshold(1)
+            .build()
+            .unwrap();
+        let mut session = RealTimeSession::with_config(schema_db(WIDE), config).unwrap();
+        for &q in initial {
+            let name = format!("q{}", session.n_chains());
+            session.register(&name, QUERIES[q]).unwrap();
+        }
+        session
+    };
+    let mut kern = mk(mode);
+    let mut intp = mk(TickMode::Sequential);
+    intp.force_interpreter(true);
+    let interner = kern.database().interner().clone();
+    let mut pending: Vec<Vec<(f64, f64, f64)>> = Vec::new();
+    let flush = |kern: &mut RealTimeSession,
+                 intp: &mut RealTimeSession,
+                 pending: &mut Vec<Vec<(f64, f64, f64)>>| {
+        if pending.is_empty() {
+            return;
+        }
+        let t = kern.now();
+        let ka = kern
+            .tick_epoch(epoch_batch(kern, &interner, pending))
+            .unwrap();
+        let ia = intp
+            .tick_epoch(epoch_batch(intp, &interner, pending))
+            .unwrap();
+        assert_eq!(
+            bits(&ka),
+            bits(&ia),
+            "{mode:?} epoch {epoch}, ticks from {t}"
+        );
+        pending.clear();
+    };
+    for step in script {
+        match step {
+            Step::Tick(row) => {
+                pending.push(row.clone());
+                if pending.len() == epoch {
+                    flush(&mut kern, &mut intp, &mut pending);
+                }
+            }
+            Step::ForceInterpreter(on) => {
+                flush(&mut kern, &mut intp, &mut pending);
+                kern.force_interpreter(*on);
+            }
+            Step::Register(q) => {
+                flush(&mut kern, &mut intp, &mut pending);
+                let name = format!("q{}", kern.n_chains());
+                kern.register(&name, QUERIES[*q]).unwrap();
+                intp.register(&name, QUERIES[*q]).unwrap();
+                // Newly registered chains start on the compiled path.
+                intp.force_interpreter(true);
+            }
+        }
+    }
+    flush(&mut kern, &mut intp, &mut pending);
+}
+
+/// Every tick path the plan must survive: in place, in place under
+/// `Auto`, pooled multi-tick epochs under `Auto`, and forced pool.
+fn assert_script_on_every_path(script: &[Step], initial: &[usize]) {
+    for (mode, epoch) in [
+        (TickMode::Sequential, 1),
+        (TickMode::Auto, 1),
+        (TickMode::Auto, 3),
+        (TickMode::Parallel, 1),
+    ] {
+        assert_script_matches_interpreter(script, initial, mode, epoch);
+    }
+}
+
+/// A symbol no chain has seen for many ticks arrives late, first for
+/// half the keys and then for the rest: the batches have settled on a
+/// reused plan by then, and the discovery must replan them.
+#[test]
+fn late_first_symbol_replans_bit_identically() {
+    let quiet = |h: f64| Step::Tick(vec![(0.0, h, 0.0); WIDE]);
+    let mut script: Vec<Step> = (0..40).map(|t| quiet(0.05 * (t % 3) as f64)).collect();
+    let first_half = (0..WIDE)
+        .map(|p| {
+            if p < WIDE / 2 {
+                (0.7, 0.0, 0.0)
+            } else {
+                (0.0, 0.0, 0.0)
+            }
+        })
+        .collect();
+    script.push(Step::Tick(first_half));
+    script.extend((0..4).map(|_| quiet(0.2)));
+    let second_half = (0..WIDE)
+        .map(|p| {
+            if p < WIDE / 2 {
+                (0.0, 0.0, 0.0)
+            } else {
+                (0.4, 0.3, 0.0)
+            }
+        })
+        .collect();
+    script.push(Step::Tick(second_half));
+    script.extend((0..3).map(|_| quiet(0.0)));
+    script.push(Step::Tick(vec![(0.0, 0.0, 0.5); WIDE]));
+    script.extend((0..12).map(|t| Step::Tick(mixed_row(t))));
+    assert_script_on_every_path(&script, &[0, 1, 2]);
+}
+
+/// The forced interpreter switched on and off between ticks moves
+/// chains out of their batches and back.
+#[test]
+fn force_interpreter_toggles_replan_bit_identically() {
+    let mut script: Vec<Step> = Vec::new();
+    for t in 0..32 {
+        match t {
+            8 | 20 => script.push(Step::ForceInterpreter(true)),
+            14 | 23 => script.push(Step::ForceInterpreter(false)),
+            _ => {}
+        }
+        script.push(Step::Tick(mixed_row(t)));
+    }
+    assert_script_on_every_path(&script, &[0, 2]);
+}
+
+/// Queries registered mid-stream join the shards (a repartition) with
+/// chains fast-forwarded through the history.
+#[test]
+fn mid_stream_registration_replans_bit_identically() {
+    let mut script: Vec<Step> = (0..10).map(|t| Step::Tick(mixed_row(t))).collect();
+    script.push(Step::Register(2));
+    script.extend((10..20).map(|t| Step::Tick(mixed_row(t))));
+    script.push(Step::Register(1));
+    script.push(Step::Register(3));
+    script.extend((20..32).map(|t| Step::Tick(mixed_row(t))));
+    assert_script_on_every_path(&script, &[0]);
+}

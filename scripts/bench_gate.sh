@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Kernel perf regression gate: the freshly measured batched-kernel step
-# cost (streaming_throughput.ns_per_chain_step) may be at most 25%
-# worse than the baseline report. Baselines from a different bench mode
-# (quick vs full) are not comparable, so a mode mismatch skips rather
-# than fails.
+# Kernel perf regression gate: the batched kernel's speedup over the
+# forced interpreter, both measured in the same bench run
+# (streaming_throughput.kernel_speedup_vs_interpreter), may be at most
+# 25% below the baseline report's. A same-run ratio cancels the host's
+# speed, so a baseline committed on one machine gates a run on another;
+# absolute ns per chain-step does not. Baselines from a different bench
+# mode (quick vs full) are not comparable, so a mode mismatch skips
+# rather than fails.
 #
 #   scripts/bench_gate.sh BASELINE.json [CURRENT.json]
 #
@@ -19,6 +22,8 @@ python3 - "$baseline" "$current" <<'PY'
 import json
 import sys
 
+KEY = "kernel_speedup_vs_interpreter"
+
 
 def row(path):
     with open(path) as f:
@@ -26,20 +31,20 @@ def row(path):
 
 
 base, cur = row(sys.argv[1]), row(sys.argv[2])
-b, c = base.get("ns_per_chain_step"), cur.get("ns_per_chain_step")
+b, c = base.get(KEY), cur.get(KEY)
 if b is None or c is None:
-    sys.exit(f"bench-gate: ns_per_chain_step missing (baseline={b}, current={c})")
+    sys.exit(f"bench-gate: {KEY} missing (baseline={b}, current={c})")
 if base.get("mode") != cur.get("mode"):
     print(
         "bench-gate: mode mismatch "
         f"({base.get('mode')} vs {cur.get('mode')}); not comparable, skipping"
     )
     sys.exit(0)
-limit = b * 1.25
-ok = c <= limit
+limit = b * 0.75
+ok = c >= limit
 print(
-    f"bench-gate: ns_per_chain_step {c:.2f} vs baseline {b:.2f} "
-    f"(limit {limit:.2f}, mode {cur.get('mode')}) {'OK' if ok else 'FAIL'}"
+    f"bench-gate: {KEY} {c:.2f}x vs baseline {b:.2f}x "
+    f"(floor {limit:.2f}x, mode {cur.get('mode')}) {'OK' if ok else 'FAIL'}"
 )
 sys.exit(0 if ok else 1)
 PY

@@ -148,7 +148,7 @@ fi
 # The Chrome trace must carry request-id-tagged spans from both the
 # connection reader and a shard worker.
 for needle in '"name":"serve_request"' '"name":"shard_dequeue"' '"req":' \
-    'lahar-conn' 'lahar-shard-'; do
+    'lahar-rx-' 'lahar-shard-'; do
     if ! grep -qF "$needle" "$smoke_trace"; then
         echo "observability smoke failed: trace missing $needle" >&2
         exit 1
@@ -191,7 +191,7 @@ if [[ "$quick" -eq 0 ]]; then
         fi
     done
 
-    echo "==> kernel step regression gate (vs committed baseline)"
+    echo "==> kernel speedup regression gate (vs committed baseline)"
     baseline="$(mktemp -t lahar-bench-baseline-XXXXXX.json)"
     if git show HEAD:BENCH_streaming.json >"$baseline" 2>/dev/null; then
         scripts/bench_gate.sh "$baseline"

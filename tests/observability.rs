@@ -3,8 +3,9 @@
 //!
 //! These tests exercise the full stack end to end — a real
 //! [`RealTimeSession`] over a real TCP socket — rather than the encoder
-//! units (those live in `lahar-core`). The tracer is process-global, so
-//! the tests that enable it serialize on a local mutex.
+//! units (those live in `lahar-core`). The tracer and the fail-point
+//! registry are process-global, so the tests that enable the tracer or
+//! step parallel ticks serialize on a local mutex.
 
 use lahar::model::{Database, Marginal, StreamBuilder};
 use lahar::{RealTimeSession, SessionConfig, TickMode};
@@ -12,7 +13,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 
-/// Serializes tests that touch the process-global tracer.
+/// Serializes tests that touch the process-global tracer, and every
+/// test that steps parallel ticks: with `failpoints` on, each such tick
+/// consults the `worker_step` fail point another test may have armed.
 fn lock_tracer() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -160,6 +163,7 @@ fn bucket_counts(text: &str, family: &str, label_fragment: &str) -> Vec<(String,
 #[test]
 fn live_endpoint_serves_per_query_prometheus_series() {
     const TICKS: usize = 6;
+    let _gate = lock_tracer();
     let session = live_session(TICKS, false);
     let addr = session.metrics_addr().expect("endpoint started");
 
@@ -333,8 +337,11 @@ fn chrome_trace_links_one_request_across_reader_and_worker_threads() {
         })
     };
     assert!(
-        span_with_req_on("serve_request", "lahar-conn"),
-        "no serve_request span with req={req} on a connection-reader thread"
+        span_with_req_on(
+            "serve_request",
+            &format!("lahar-rx-{}", server.addr().port())
+        ),
+        "no serve_request span with req={req} on this server's reactor thread"
     );
     assert!(
         span_with_req_on("shard_dequeue", "lahar-shard-"),
@@ -361,6 +368,7 @@ fn chrome_trace_links_one_request_across_reader_and_worker_threads() {
 /// re-serves the same per-query counters from its endpoint.
 #[test]
 fn restored_session_reserves_per_query_metrics() {
+    let _gate = lock_tracer();
     let (db, builders) = schema_db();
     let mut session = live_session(5, false);
     let ckpt = session.checkpoint().unwrap();

@@ -706,6 +706,10 @@ fn staged_epochs_over_the_wire_match_per_tick_frames() {
 #[cfg(target_os = "linux")]
 #[test]
 fn hosted_sessions_share_one_worker_pool() {
+    // The stepping pool is process-wide by design: spawned once, one
+    // thread per core, threads never exit. Other tests running alongside
+    // can start it but never change its size, so this process-global
+    // count is the quantity under test, not noise from other servers.
     fn pool_threads() -> usize {
         std::fs::read_dir("/proc/self/task")
             .unwrap()
@@ -880,20 +884,23 @@ fn evicted_session_with_wal_tail_restores_bit_identically() {
 }
 
 /// Tentpole acceptance: 512 concurrent connections are served by ONE
-/// `lahar-conn*` thread (plus the shard workers) — connections cost
-/// file descriptors, not threads — and every connection's command
-/// lands: the per-session clocks account for all 512 ticks.
+/// reactor thread (plus the shard workers) — connections cost file
+/// descriptors, not threads — and every connection's command lands: the
+/// per-session clocks account for all 512 ticks.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_serves_512_connections_from_o_shards_threads() {
-    fn conn_threads() -> usize {
+    /// Threads named after *this* server's reactor (`lahar-rx-<port>`):
+    /// other tests' servers run in the same process at the same time.
+    fn conn_threads(addr: std::net::SocketAddr) -> usize {
+        let reactor = format!("lahar-rx-{}", addr.port());
         std::fs::read_dir("/proc/self/task")
             .unwrap()
             .filter_map(|entry| {
                 let comm = entry.ok()?.path().join("comm");
                 std::fs::read_to_string(comm).ok()
             })
-            .filter(|name| name.trim_end().starts_with("lahar-conn"))
+            .filter(|name| name.trim_end() == reactor)
             .count()
     }
 
@@ -914,7 +921,7 @@ fn reactor_serves_512_connections_from_o_shards_threads() {
         );
     }
     assert_eq!(
-        conn_threads(),
+        conn_threads(addr),
         1,
         "512 open connections must still be served by the single reactor thread"
     );
